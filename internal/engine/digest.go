@@ -34,14 +34,10 @@ type StateDigester interface {
 //xflow:goroutine master-loop
 func (m *Master) StateDigest() string {
 	var b strings.Builder
-	dead := make([]string, 0, len(m.dead))
-	for w := range m.dead {
-		dead = append(dead, w)
-	}
-	sort.Strings(dead)
+	f := m.fleet
 	fmt.Fprintf(&b, "master ready=%t finished=%t aborted=%t next=%d exp=%d workers=%s dead=%s\n",
-		m.ready, m.finished, m.aborted, m.nextID, m.expectedWorkers,
-		strings.Join(m.workers, ","), strings.Join(dead, ","))
+		f.ready, m.finished, m.aborted, m.nextID, f.expected,
+		strings.Join(f.workers, ","), strings.Join(sortedKeys(f.dead), ","))
 	for _, id := range m.order {
 		rec := m.records[id]
 		fmt.Fprintf(&b, "rec %s %s %s\n", id, rec.Status, rec.Worker)
@@ -50,15 +46,8 @@ func (m *Master) StateDigest() string {
 	for _, s := range m.sessionList {
 		writeSession(&b, s)
 	}
-	if len(m.drains) > 0 {
-		names := make([]string, 0, len(m.drains))
-		for w := range m.drains {
-			names = append(names, w)
-		}
-		sort.Strings(names)
-		for _, w := range names {
-			fmt.Fprintf(&b, "drain %s acks=%d\n", w, len(m.drains[w]))
-		}
+	for _, w := range sortedKeys(f.drains) {
+		fmt.Fprintf(&b, "drain %s acks=%d\n", w, len(f.drains[w]))
 	}
 	if d, ok := m.alloc.(StateDigester); ok {
 		b.WriteString(d.StateDigest())

@@ -202,9 +202,12 @@ func TestWorkerDispatchAcceptsEveryKind(t *testing.T) {
 			}, nil)
 			w := newWorker(sim, bus.Register("w1", 0), dispatchWorkflow(), st, nil, idleAgent{})
 
-			sim.Go(w.commsLoop)
+			// Send before the loop starts: this goroutine is untracked, so a
+			// loop already parked on its inbox would see no pending event
+			// and report a deadlock before the sends landed.
 			master.Send("w1", payload)
 			master.Send("w1", MsgStop{})
+			sim.Go(w.commsLoop)
 			sim.Wait()
 
 			w.mu.Lock()

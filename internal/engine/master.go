@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"time"
 
@@ -24,16 +22,10 @@ import (
 // loop exits only on Shutdown. All per-workflow state lives in session
 // values either way — batch mode is just the one-session special case.
 type Master struct {
-	clk             vclock.Clock
-	ep              Port
-	alloc           Allocator
-	arrivals        []Arrival
-	expectedWorkers int
-	rng             *rand.Rand
-	tracer          Tracer
-	// labeled is non-nil only under a model-checking chooser (see
-	// vclock.ActiveLabeled); the master's self-timers then carry labels.
-	labeled *vclock.Sim
+	*actor
+	alloc  Allocator
+	rng    *rand.Rand
+	tracer Tracer
 	// staleBidBug re-introduces the PR-2 stale dead-worker-bid bug (a
 	// bid from a dead worker may win its contest). Test-only: it exists
 	// so the model checker's counterexample path stays demonstrable.
@@ -70,27 +62,13 @@ type Master struct {
 	// counters raised from inside allocator callbacks (CountFallback)
 	// land on the right session.
 	cur *session //xflow:owned master-loop
-	// ready flips once the initial expectedWorkers quorum registered;
-	// registrations after that are mid-run joins.
-	ready    bool //xflow:owned master-loop
-	readyAck vclock.Mailbox
-	// drains holds the acks to deliver when each draining worker's
-	// MsgLeave arrives.
-	drains map[string][]vclock.Mailbox //xflow:owned master-loop
+	// fleet is the membership view: live workers, tombstones, the
+	// initial quorum, and pending drains.
+	fleet *fleet //xflow:owned master-loop
 
-	records   map[string]*JobRecord //xflow:owned master-loop
-	order     []string              //xflow:owned master-loop
-	workers   []string              //xflow:owned master-loop
-	workerSet map[string]bool       //xflow:owned master-loop
-	// dead tombstones every worker that has died or left, so a
-	// registration that was in flight when its sender was declared dead
-	// cannot resurrect it. Found by the model checker: a kill landing
-	// before the victim's MsgRegister arrived let the corpse register,
-	// win a zero-bid fallback assignment, and strand the job forever
-	// (fuzzing never sees this — generated kills deliberately stay clear
-	// of the registration handshake).
-	dead   map[string]bool //xflow:owned master-loop
-	nextID int             //xflow:owned master-loop
+	records map[string]*JobRecord //xflow:owned master-loop
+	order   []string              //xflow:owned master-loop
+	nextID  int                   //xflow:owned master-loop
 
 	aborted  bool
 	finished bool
@@ -99,36 +77,49 @@ type Master struct {
 // newMaster wires a batch-mode master; the cluster runner starts it with
 // Go. The caller owns rng's seeding — the master never touches the
 // global math/rand generator, so identically-seeded runs replay
-// identically. A nil rng falls back to a seed-0 source rather than
-// crashing.
+// identically.
 //
 //xflow:goroutine master-loop
 func newMaster(clk vclock.Clock, ep Port, alloc Allocator, wf *Workflow,
 	arrivals []Arrival, expectedWorkers int, rng *rand.Rand) *Master {
+	m := newLoopMaster(clk, ep, alloc, wf, len(arrivals), expectedWorkers, rng)
+	m.autoStop = true
+	m.fleet.arrivals = arrivals
+	m.fleet.batch = m.startBatch
+	return m
+}
+
+// newLoopMaster wires a master that runs until shut down, over workflow
+// wf (nil in cluster mode); jobs sizes the job tables. A nil rng falls
+// back to a seed-0 source rather than crashing.
+//
+//xflow:goroutine master-loop
+func newLoopMaster(clk vclock.Clock, ep Port, alloc Allocator, wf *Workflow,
+	jobs, expectedWorkers int, rng *rand.Rand) *Master {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0))
 	}
+	a := newActor(clk, ep)
 	m := &Master{
-		clk:             clk,
-		labeled:         vclock.ActiveLabeled(clk),
-		ep:              ep,
-		alloc:           alloc,
-		arrivals:        arrivals,
-		expectedWorkers: expectedWorkers,
-		rng:             rng,
-		autoStop:        true,
-		def:             &session{wf: wf, arrivalsLeft: len(arrivals)},
-		sessions:        make(map[string]*session),
-		drains:          make(map[string][]vclock.Mailbox),
+		actor:    a,
+		alloc:    alloc,
+		rng:      rng,
+		def:      &session{wf: wf, arrivalsLeft: jobs},
+		sessions: make(map[string]*session),
+		fleet:    newFleet(a, expectedWorkers),
 		// Sized for the input stream; tasks that emit downstream jobs
 		// grow them past this, but the common case never rehashes.
-		records:   make(map[string]*JobRecord, len(arrivals)),
-		order:     make([]string, 0, len(arrivals)),
-		workerSet: make(map[string]bool),
-		dead:      make(map[string]bool),
+		records: make(map[string]*JobRecord, jobs),
+		order:   make([]string, 0, jobs),
 	}
 	m.cur = m.def
 	return m
+}
+
+// startBatch opens the batch session the moment the fleet forms.
+func (m *Master) startBatch() {
+	m.def.started = true
+	m.def.startTime = m.clk.Now()
 }
 
 // NewMaster wires a master over an arbitrary Port — the entry point for
@@ -151,39 +142,9 @@ func NewMaster(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 //xflow:goroutine master-loop
 func NewClusterMaster(clk vclock.Clock, port Port, alloc Allocator,
 	expectedWorkers int, rng *rand.Rand) *Master {
-	m := newMaster(clk, port, alloc, nil, nil, expectedWorkers, rng)
-	m.autoStop = false
-	m.ready = expectedWorkers == 0
-	m.readyAck = clk.NewMailbox("master:ready")
-	if m.ready {
-		m.readyAck.Send(struct{}{})
-	}
+	m := newLoopMaster(clk, port, alloc, nil, 0, expectedWorkers, rng)
+	m.fleet.armReady()
 	return m
-}
-
-// WaitReady blocks until the initial worker quorum has registered. On a
-// simulated clock it must be called from a clock-tracked goroutine. It
-// is single-shot: one caller owns the readiness signal.
-func (m *Master) WaitReady() {
-	if m.readyAck != nil {
-		m.readyAck.Recv()
-	}
-}
-
-// Shutdown stops a cluster-mode master: the loop publishes MsgStop to
-// the fleet, flushes a report to every session still waiting, and exits.
-// Safe to call from any goroutine.
-func (m *Master) Shutdown() { m.Inject(msgShutdown{}) }
-
-// Drain asks a worker to finish its queued jobs and leave the fleet. The
-// worker is removed from the live set immediately — it wins no further
-// contests — and the returned mailbox receives one value once its
-// MsgLeave has been processed. Safe to call from any goroutine; on a
-// simulated clock, receive on a clock-tracked goroutine.
-func (m *Master) Drain(worker string) vclock.Mailbox {
-	ack := m.clk.NewMailbox("drain:" + worker)
-	m.Inject(msgDrainStart{worker: worker, ack: ack})
-	return ack
 }
 
 // Run executes the master actor loop until the workflow completes; it
@@ -196,36 +157,22 @@ func (m *Master) Run() { m.run() }
 // the worker processes.
 //
 //xflow:goroutine master-loop
-func (m *Master) Report() *Report {
-	s := m.def
-	rep := &Report{
-		Allocator:     m.alloc.Name(),
-		Start:         s.startTime,
-		End:           s.endTime,
-		Makespan:      s.endTime.Sub(s.startTime),
-		JobsCompleted: s.completed,
-		JobsFailed:    s.failures,
-		Redispatched:  s.redispatched,
-		Results:       s.results,
-		Offers:        s.offers,
-		Rejections:    s.rejections,
-		Contests:      s.contests,
-		ContestMsgs:   s.contestMsgs,
-		Bids:          s.bids,
-		Fallbacks:     s.fallbacks,
-		Records:       m.records,
-		allocLatency:  s.allocLatency,
-		allocCount:    s.allocCount,
-	}
-	if s.allocCount > 0 {
-		rep.MeanAllocLatency = s.allocLatency / time.Duration(s.allocCount)
-	}
-	return rep
-}
+func (m *Master) Report() *Report { return m.report(m.def, m.records) }
 
 // sessionReport builds a per-session report on a cluster-mode master,
 // with the record map filtered to the session's own jobs.
 func (m *Master) sessionReport(s *session) *Report {
+	records := make(map[string]*JobRecord)
+	for _, id := range m.order {
+		if rec := m.records[id]; rec.sess == s {
+			records[id] = rec
+		}
+	}
+	return m.report(s, records)
+}
+
+// report renders session s's timings and counters over records.
+func (m *Master) report(s *session, records map[string]*JobRecord) *Report {
 	rep := &Report{
 		Allocator:     m.alloc.Name(),
 		Start:         s.startTime,
@@ -241,45 +188,20 @@ func (m *Master) sessionReport(s *session) *Report {
 		ContestMsgs:   s.contestMsgs,
 		Bids:          s.bids,
 		Fallbacks:     s.fallbacks,
-		Records:       make(map[string]*JobRecord),
+		Records:       records,
 		allocLatency:  s.allocLatency,
 		allocCount:    s.allocCount,
-	}
-	for _, id := range m.order {
-		if rec := m.records[id]; rec.sess == s {
-			rep.Records[id] = rec
-		}
 	}
 	if s.allocCount > 0 {
 		rep.MeanAllocLatency = s.allocLatency / time.Duration(s.allocCount)
 	}
 	return rep
-}
-
-// Inject delivers a payload into the master's actor loop from outside
-// (fault-injection hooks, tests). Safe to call from any goroutine.
-func (m *Master) Inject(payload any) {
-	m.ep.Inbox().Send(&broker.Envelope{From: m.ep.Name(), To: m.ep.Name(), Payload: payload})
 }
 
 // run is the master actor loop. It returns when the workflow completes.
 //
 //xflow:goroutine master-loop
-func (m *Master) run() {
-	for {
-		v, ok := m.ep.Inbox().Recv()
-		if !ok {
-			return
-		}
-		env, ok := v.(*broker.Envelope)
-		if !ok {
-			continue
-		}
-		if done := m.handle(env); done {
-			return
-		}
-	}
-}
+func (m *Master) run() { m.serve(m.handle) }
 
 func (m *Master) handle(env *broker.Envelope) (done bool) {
 	//xflow:dispatch master
@@ -295,7 +217,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 		// the contest: the assignment would go to a closed endpoint and the
 		// job would be stranded until the next kill of that worker (which
 		// never comes). Found by simtest fuzzing (seed 438).
-		if m.workerSet[msg.Worker] || m.staleBidBug {
+		if m.fleet.member(msg.Worker) || m.staleBidBug {
 			m.sessFor(msg.JobID).bids++
 			m.alloc.BidReceived(m, msg)
 		}
@@ -315,7 +237,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	case MsgReject:
 		m.onReject(msg)
 	case MsgRequestJob:
-		if m.workerSet[msg.Worker] {
+		if m.fleet.member(msg.Worker) {
 			m.alloc.WorkerIdle(m, msg)
 		}
 	case MsgEmit:
@@ -327,7 +249,7 @@ func (m *Master) handle(env *broker.Envelope) (done bool) {
 	case MsgTick:
 		m.alloc.Tick(m, msg.Token)
 	case MsgCacheEvict:
-		if m.workerSet[msg.Worker] {
+		if m.fleet.member(msg.Worker) {
 			m.alloc.CacheEvicted(m, msg.Worker, msg.Keys)
 		}
 	case MsgWorkerDead:
@@ -416,82 +338,14 @@ func (m *Master) flushWaiters() {
 			s.done.Send(m.sessionReport(s))
 		}
 	}
-	if len(m.drains) == 0 {
-		return
-	}
-	names := make([]string, 0, len(m.drains))
-	for w := range m.drains {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-	for _, w := range names {
-		for _, ack := range m.drains[w] {
-			if ack != nil {
-				ack.Send(w)
-			}
-		}
-		delete(m.drains, w)
-	}
+	m.fleet.flushDrains()
 }
 
 func (m *Master) onRegister(worker string) {
-	if m.dead[worker] {
-		// The worker died before its registration arrived; acking it
-		// would add a corpse to the live set, and every job it then won
-		// would strand (its death was already processed — no later
-		// MsgWorkerDead will rescue them).
-		return
-	}
-	m.ep.Send(worker, MsgRegisterAck{})
-	if m.workerSet[worker] {
-		return
-	}
-	late := m.ready
-	m.workerSet[worker] = true
-	m.workers = append(m.workers, worker)
-	if late {
+	if m.fleet.register(worker, func() { m.ep.Send(worker, MsgRegisterAck{}) }) {
 		// Mid-run join: the fleet already formed, so announce the
 		// newcomer to the allocator before it can win any work.
 		m.alloc.WorkerJoined(m, worker)
-		return
-	}
-	if len(m.workers) >= m.expectedWorkers {
-		m.becomeReady()
-	}
-}
-
-// shrinkQuorum lowers the fleet-formation bar by one expected worker —
-// called when a worker dies or drains away before the fleet formed, so
-// the remaining registrations can still complete the quorum instead of
-// waiting forever for one that can never arrive. After ready it is a
-// no-op (the quorum has served its purpose).
-func (m *Master) shrinkQuorum() {
-	if m.ready {
-		return
-	}
-	m.expectedWorkers--
-	if len(m.workers) >= m.expectedWorkers {
-		m.becomeReady()
-	}
-}
-
-// becomeReady settles fleet formation: the initial quorum is present
-// (or has stopped being reachable — a worker that dies before
-// registering shrinks the quorum rather than stalling it forever).
-func (m *Master) becomeReady() {
-	m.ready = true
-	if m.readyAck != nil {
-		m.readyAck.Send(struct{}{})
-	}
-	if m.autoStop {
-		// Batch mode: the workflow starts now.
-		s := m.def
-		s.started = true
-		s.startTime = m.clk.Now()
-		for _, arr := range m.arrivals {
-			arr := arr
-			m.afterFunc(arr.At, "arrival "+arr.Job.ID, func() { m.Inject(MsgInject{Job: arr.Job}) })
-		}
 	}
 }
 
@@ -502,17 +356,8 @@ func (m *Master) inject(s *session, job *Job) {
 	if s.wf == nil {
 		return // a stray job for a session this master does not know
 	}
-	if job.ID == "" {
-		job.ID = formatJobID(m.nextID)
-	}
-	m.nextID++
-	if s.id != "" {
-		job.Session = s.id
-	}
+	m.nextID = stampJob(job, m.nextID, s.id, m.records)
 	rec := &JobRecord{Job: job, Status: StatusPending, Injected: m.clk.Now(), sess: s}
-	if _, dup := m.records[job.ID]; dup {
-		rec.Job.ID = fmt.Sprintf("%s#%d", job.ID, m.nextID)
-	}
 	m.records[rec.Job.ID] = rec
 	m.order = append(m.order, rec.Job.ID)
 	m.trace(TraceInjected, rec.Job.ID, "")
@@ -588,44 +433,8 @@ func (m *Master) onJobDone(msg MsgJobDone) {
 }
 
 func (m *Master) onWorkerDead(worker string) {
-	first := !m.dead[worker]
-	m.dead[worker] = true
-	if !m.workerSet[worker] {
-		// Died before its registration arrived (which onRegister will now
-		// refuse): an expected initial worker that can never register must
-		// also stop holding up the quorum.
-		if first {
-			m.shrinkQuorum()
-		}
-		return
-	}
-	delete(m.workerSet, worker)
-	for i, w := range m.workers {
-		if w == worker {
-			m.workers = append(m.workers[:i], m.workers[i+1:]...)
-			break
-		}
-	}
-	// A pre-ready death un-counts a registration the quorum had already
-	// banked, so the bar drops with it.
-	m.shrinkQuorum()
-	var inflight []*Job
-	for _, id := range m.order {
-		rec := m.records[id]
-		if rec.Worker == worker && rec.Status != StatusFinished && rec.Status != StatusPending {
-			rec.Status = StatusPending
-			rec.Worker = ""
-			rec.sess.redispatched++
-			inflight = append(inflight, rec.Job)
-		}
-	}
-	for _, job := range inflight {
-		m.trace(TraceRedispatch, job.ID, worker)
-	}
-	m.alloc.WorkerLost(m, worker, inflight)
-	for _, job := range inflight {
-		m.sessFor(job.ID)
-		m.alloc.JobReady(m, job)
+	if m.fleet.bury(worker) {
+		m.rescueStranded(worker, true)
 	}
 }
 
@@ -635,31 +444,10 @@ func (m *Master) onWorkerDead(worker string) {
 // leave. Assignments already sent ride the same FIFO broker route as
 // MsgDrain, so they land in the worker's queue before it closes.
 func (m *Master) onDrainStart(msg msgDrainStart) {
-	if !m.workerSet[msg.worker] {
-		// Unknown, dead, or already draining: nothing to wait for unless a
-		// drain is in fact in flight for this name.
-		if msg.ack != nil {
-			if _, pending := m.drains[msg.worker]; pending {
-				m.drains[msg.worker] = append(m.drains[msg.worker], msg.ack)
-			} else {
-				msg.ack.Send(msg.worker)
-			}
-		}
-		return
+	if m.fleet.startDrain(msg.worker, msg.ack) {
+		m.alloc.WorkerLost(m, msg.worker, nil)
+		m.ep.Send(msg.worker, MsgDrain{})
 	}
-	delete(m.workerSet, msg.worker)
-	for i, w := range m.workers {
-		if w == msg.worker {
-			m.workers = append(m.workers[:i], m.workers[i+1:]...)
-			break
-		}
-	}
-	// A drain racing fleet formation un-counts a banked registration the
-	// same way a pre-ready death does.
-	m.shrinkQuorum()
-	m.drains[msg.worker] = append(m.drains[msg.worker], msg.ack)
-	m.alloc.WorkerLost(m, msg.worker, nil)
-	m.ep.Send(msg.worker, MsgDrain{})
 }
 
 // onLeave settles a worker's departure. A leave without a preceding
@@ -668,26 +456,17 @@ func (m *Master) onDrainStart(msg msgDrainStart) {
 // record still attributed to the worker (an assignment that a delay
 // spike reordered past the drain) is rescued so no job is lost.
 func (m *Master) onLeave(worker string) {
-	if m.workerSet[worker] {
-		m.onWorkerDead(worker)
-	} else {
-		m.rescueStranded(worker)
-	}
-	acks, ok := m.drains[worker]
-	if !ok {
-		return
-	}
-	delete(m.drains, worker)
-	for _, ack := range acks {
-		if ack != nil {
-			ack.Send(worker)
-		}
-	}
+	m.rescueStranded(worker, m.fleet.depart(worker))
+	m.fleet.ackLeave(worker)
 }
 
-// rescueStranded redispatches any unfinished record still attributed to
-// a worker that is no longer a member.
-func (m *Master) rescueStranded(worker string) {
+// rescueStranded redispatches every unfinished record still attributed
+// to a worker that is no longer a member: each is reset to pending,
+// counted and traced as a redispatch, and handed back to the allocator.
+// lost reports a worker that just left the live set undrained; the
+// allocator then hears WorkerLost between the trace and the re-offers,
+// so it scrubs the worker's open bids first.
+func (m *Master) rescueStranded(worker string, lost bool) {
 	var inflight []*Job
 	for _, id := range m.order {
 		rec := m.records[id]
@@ -700,6 +479,9 @@ func (m *Master) rescueStranded(worker string) {
 	}
 	for _, job := range inflight {
 		m.trace(TraceRedispatch, job.ID, worker)
+	}
+	if lost {
+		m.alloc.WorkerLost(m, worker, inflight)
 	}
 	for _, job := range inflight {
 		m.sessFor(job.ID)
@@ -759,15 +541,15 @@ func (m *Master) Aborted() bool { return m.aborted }
 // Clock implements AllocCtx.
 func (m *Master) Clock() vclock.Clock { return m.clk }
 
-// Workers implements AllocCtx. It returns a copy: onWorkerDead splices
-// the internal slice in place, so handing out the alias would let a
-// death mutate a list an allocator captured earlier (e.g. a contest's
-// expected-bidder set shrinking underneath it).
+// Workers implements AllocCtx. It returns a copy: the fleet splices its
+// live list in place on every removal, so handing out the alias would
+// let a death mutate a list an allocator captured earlier (e.g. a
+// contest's expected-bidder set shrinking underneath it).
 //
 //xflow:goroutine master-loop
 func (m *Master) Workers() []string {
-	out := make([]string, len(m.workers))
-	copy(out, m.workers)
+	out := make([]string, len(m.fleet.workers))
+	copy(out, m.fleet.workers)
 	return out
 }
 
@@ -899,7 +681,7 @@ func (m *Master) PublishBidRequestTo(jobID string, workers []string) int {
 	}
 	live := workers[:0:0]
 	for _, w := range workers {
-		if m.workerSet[w] {
+		if m.fleet.member(w) {
 			live = append(live, w)
 		}
 	}
@@ -934,18 +716,6 @@ func (m *Master) ScheduleBidWindow(jobID string, d time.Duration) {
 // ScheduleTick implements AllocCtx.
 func (m *Master) ScheduleTick(token string, d time.Duration) {
 	m.afterFunc(d, "tick "+token, func() { m.Inject(MsgTick{Token: token}) })
-}
-
-// afterFunc schedules f on the master's clock, labeling the event with
-// the master as its conflict domain when a model-checking chooser is
-// active — the master's self-timers only ever Inject back into its own
-// loop, so they commute with deliveries to other nodes.
-func (m *Master) afterFunc(d time.Duration, detail string, f func()) {
-	if m.labeled != nil {
-		m.labeled.AfterFuncLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, f)
-		return
-	}
-	m.clk.AfterFunc(d, f)
 }
 
 // Rand implements AllocCtx.

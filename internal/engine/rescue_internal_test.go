@@ -58,7 +58,7 @@ func TestRescueStrandedRedispatches(t *testing.T) {
 
 	// w1 drains: out of the live set immediately, goodbye pending.
 	m.onDrainStart(msgDrainStart{worker: "w1"})
-	if m.workerSet["w1"] {
+	if m.fleet.member("w1") {
 		t.Fatal("drained worker still in the live set")
 	}
 
@@ -103,10 +103,10 @@ func TestRescueStrandedRedispatches(t *testing.T) {
 
 	// A post-drain leave is not a death: the worker is not tombstoned,
 	// and the drain is settled (acks released, no pending entry left).
-	if m.dead["w1"] {
+	if m.fleet.dead["w1"] {
 		t.Error("post-drain leave tombstoned the worker as dead")
 	}
-	if _, pending := m.drains["w1"]; pending {
+	if _, pending := m.fleet.drains["w1"]; pending {
 		t.Error("drain still pending after the leave settled it")
 	}
 	if len(alloc.lost) != 1 || alloc.lost[0] != "w1" {
@@ -132,10 +132,10 @@ func TestLeaveWithoutDrainRedispatchesAsDeath(t *testing.T) {
 	alloc.ready = nil
 	m.onLeave("w1")
 
-	if m.workerSet["w1"] {
+	if m.fleet.member("w1") {
 		t.Error("leave left the worker in the live set")
 	}
-	if !m.dead["w1"] {
+	if !m.fleet.dead["w1"] {
 		t.Error("undrained leave must tombstone the worker like a death")
 	}
 	if rec := m.records["j0"]; rec.Status != StatusPending || rec.Worker != "" {

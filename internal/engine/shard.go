@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -83,36 +82,24 @@ type routerSession struct {
 // simulated part sends through the broker so its delivery shares the
 // deterministic route-skew timing of all protocol traffic.
 type ShardedMaster struct {
-	clk     vclock.Clock
-	ep      Port
-	parts   []*Master
-	labeled *vclock.Sim
-
-	arrivals        []Arrival
-	expectedWorkers int
+	*actor
+	parts []*Master
 	// autoStop distinguishes batch mode (stop when every routed job has
 	// settled) from cluster mode (run until Shutdown).
 	autoStop bool
 
+	// fleet is the router's membership view: it forms the quorum,
+	// settles drain acks, and refuses tombstoned registrations before
+	// they fan out.
+	fleet       *fleet                    //xflow:owned router-loop
 	jobShard    map[string]int            //xflow:owned router-loop
 	nextID      int                       //xflow:owned router-loop
 	sessions    map[string]*routerSession //xflow:owned router-loop
 	sessionList []*routerSession          //xflow:owned router-loop
-	// def is the batch-mode default session's accounting (and the sink
-	// for traffic about unknown sessions, mirroring Master.def).
-	def      *routerSession //xflow:owned router-loop
-	ready    bool           //xflow:owned router-loop
-	readyAck vclock.Mailbox
-	workers  []string //xflow:owned router-loop
-	// workerSet and dead mirror the unsharded master's membership view:
-	// the router needs its own copy to run quorum formation, drain acks,
-	// and the dead-worker registration tombstone before fan-out.
-	workerSet map[string]bool             //xflow:owned router-loop
-	dead      map[string]bool             //xflow:owned router-loop
-	drains    map[string][]vclock.Mailbox //xflow:owned router-loop
-
-	arrivalsLeft int  //xflow:owned router-loop
-	started      bool //xflow:owned router-loop
+	// def is the batch-mode default session's accounting, and the sink
+	// for traffic about unknown sessions.
+	def          *routerSession //xflow:owned router-loop
+	arrivalsLeft int            //xflow:owned router-loop
 	// defStart and defEnd bound the batch run; like aborted/finished they
 	// are read by Report only after the plane has quiesced, so they stay
 	// outside the router-loop ownership domain.
@@ -132,10 +119,9 @@ type ShardedMaster struct {
 //xflow:goroutine master-loop
 func newShardPart(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 	expectedWorkers int, ready bool, shard int, rng *rand.Rand) *Master {
-	p := newMaster(clk, port, alloc, wf, nil, expectedWorkers, rng)
-	p.autoStop = false
+	p := newLoopMaster(clk, port, alloc, wf, 0, expectedWorkers, rng)
 	p.muteStop = true
-	p.ready = ready
+	p.fleet.ready = ready
 	p.traceShard = shard + 1
 	return p
 }
@@ -152,21 +138,22 @@ func newShardPart(clk vclock.Clock, port Port, alloc Allocator, wf *Workflow,
 //xflow:goroutine router-loop
 func newShardedPlane(clk vclock.Clock, ep Port, parts []*Master,
 	arrivals []Arrival, expectedWorkers int, autoStop bool) *ShardedMaster {
+	a := newActor(clk, ep)
 	sm := &ShardedMaster{
-		clk:             clk,
-		ep:              ep,
-		parts:           parts,
-		labeled:         vclock.ActiveLabeled(clk),
-		arrivals:        arrivals,
-		arrivalsLeft:    len(arrivals),
-		expectedWorkers: expectedWorkers,
-		autoStop:        autoStop,
-		jobShard:        make(map[string]int, len(arrivals)),
-		sessions:        make(map[string]*routerSession),
-		def:             &routerSession{},
-		workerSet:       make(map[string]bool),
-		dead:            make(map[string]bool),
-		drains:          make(map[string][]vclock.Mailbox),
+		actor:        a,
+		parts:        parts,
+		arrivalsLeft: len(arrivals),
+		autoStop:     autoStop,
+		fleet:        newFleet(a, expectedWorkers),
+		jobShard:     make(map[string]int, len(arrivals)),
+		sessions:     make(map[string]*routerSession),
+		def:          &routerSession{},
+	}
+	if autoStop {
+		// The parts never see Arrivals: the router owns the stream and
+		// partitions each job as it fires.
+		sm.fleet.arrivals = arrivals
+		sm.fleet.batch = func() { sm.defStart = sm.clk.Now() }
 	}
 	routerName := ep.Name()
 	for _, p := range parts {
@@ -225,43 +212,12 @@ func NewShardedClusterMaster(clk vclock.Clock, port Port, shardPorts []Port,
 		parts[i] = newShardPart(clk, sp, newAlloc(), nil, expectedWorkers, ready, i, partRng)
 	}
 	sm := newShardedPlane(clk, port, parts, nil, expectedWorkers, false)
-	sm.ready = ready
-	sm.readyAck = clk.NewMailbox(port.Name() + ":ready")
-	if sm.ready {
-		sm.readyAck.Send(struct{}{})
-	}
+	sm.fleet.armReady()
 	return sm
 }
 
 // Shards returns how many contest shards the plane runs.
 func (sm *ShardedMaster) Shards() int { return len(sm.parts) }
-
-// WaitReady blocks until the initial worker quorum has registered (see
-// Master.WaitReady).
-func (sm *ShardedMaster) WaitReady() {
-	if sm.readyAck != nil {
-		sm.readyAck.Recv()
-	}
-}
-
-// Shutdown stops the plane: the frontend publishes the single MsgStop,
-// quiesces every shard loop, and exits. Safe from any goroutine.
-func (sm *ShardedMaster) Shutdown() { sm.Inject(msgShutdown{}) }
-
-// Drain asks a worker to finish its queued jobs and leave the fleet;
-// the returned mailbox receives one value once its goodbye is processed
-// (see Master.Drain).
-func (sm *ShardedMaster) Drain(worker string) vclock.Mailbox {
-	ack := sm.clk.NewMailbox("drain:" + worker)
-	sm.Inject(msgDrainStart{worker: worker, ack: ack})
-	return ack
-}
-
-// Inject delivers a payload into the frontend's actor loop from outside.
-// Safe to call from any goroutine.
-func (sm *ShardedMaster) Inject(payload any) {
-	sm.ep.Inbox().Send(&broker.Envelope{From: sm.ep.Name(), To: sm.ep.Name(), Payload: payload})
-}
 
 // Run executes the frontend router loop until the plane stops; the
 // shard part loops must be running too (see loops). It must run on a
@@ -299,15 +255,6 @@ func (sm *ShardedMaster) setStaleBidBug(on bool) {
 	for _, p := range sm.parts {
 		p.staleBidBug = on
 	}
-}
-
-// OpenSession opens a streaming workflow session on the sharded plane.
-// The session is transparently partitioned: every submitted job routes
-// to its key's shard, and Wait returns the merged per-shard report.
-func (sm *ShardedMaster) OpenSession(id string, wf *Workflow) *MasterSession {
-	s := &session{id: id, wf: wf, feedOpen: true, done: sm.clk.NewMailbox("session:" + id)}
-	sm.Inject(msgOpenSession{s: s})
-	return &MasterSession{m: sm, s: s}
 }
 
 // Aborted reports whether the plane was cut short by a run Deadline.
@@ -376,21 +323,7 @@ func mergeReports(reports []*Report) *Report {
 // run is the frontend router actor loop.
 //
 //xflow:goroutine router-loop
-func (sm *ShardedMaster) run() {
-	for {
-		v, ok := sm.ep.Inbox().Recv()
-		if !ok {
-			return
-		}
-		env, ok := v.(*broker.Envelope)
-		if !ok {
-			continue
-		}
-		if done := sm.handle(env); done {
-			return
-		}
-	}
-}
+func (sm *ShardedMaster) run() { sm.serve(sm.handle) }
 
 func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	//xflow:dispatch master
@@ -418,7 +351,7 @@ func (sm *ShardedMaster) handle(env *broker.Envelope) (done bool) {
 	case MsgCacheEvict:
 		sm.onCacheEvict(env, msg)
 	case MsgWorkerDead:
-		sm.onWorkerDead(env, msg.Worker)
+		sm.onWorkerDead(msg.Worker)
 	case MsgLeave:
 		sm.onLeave(env, msg.Worker)
 	case msgOpenSession:
@@ -472,22 +405,13 @@ func (sm *ShardedMaster) control(part *Master, payload any) *broker.Envelope {
 	return &broker.Envelope{From: sm.ep.Name(), To: part.ep.Name(), Payload: payload, SentAt: sm.clk.Now()}
 }
 
-// routeJob assigns the job an ID (mirroring Master.inject's numbering),
-// stamps its session, picks the owning shard by content hash of its
-// data key, and hands it to that part as an in-process emit.
+// routeJob stamps the job's ID and session, picks the owning shard by
+// content hash of its data key, and hands it to that part as an
+// in-process emit.
 //
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) routeJob(rs *routerSession, job *Job) {
-	if job.ID == "" {
-		job.ID = formatJobID(sm.nextID)
-	}
-	sm.nextID++
-	if rs.id != "" {
-		job.Session = rs.id
-	}
-	if _, dup := sm.jobShard[job.ID]; dup {
-		job.ID = fmt.Sprintf("%s#%d", job.ID, sm.nextID)
-	}
+	sm.nextID = stampJob(job, sm.nextID, rs.id, sm.jobShard)
 	shard := locindex.ShardOf(job.DataKey, len(sm.parts))
 	sm.jobShard[job.ID] = shard
 	rs.routed++
@@ -508,63 +432,13 @@ func (sm *ShardedMaster) routeByJob(env *broker.Envelope, jobID string) {
 	sm.forward(sm.parts[shard], env)
 }
 
-// onRegister mirrors the unsharded master's membership logic (tombstone
-// refusal, quorum formation) and fans the registration out to every
-// part, which each ack it — the worker's registration loop is
-// idempotent under duplicate acks.
+// onRegister admits a registration to the frontend's fleet view and
+// fans it out to every part, which each ack it — the worker's
+// registration loop is idempotent under duplicate acks.
 //
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) onRegister(env *broker.Envelope, msg MsgRegister) {
-	if sm.dead[msg.Worker] {
-		return // tombstoned: see Master.onRegister
-	}
-	sm.fanOut(env)
-	if sm.workerSet[msg.Worker] {
-		return
-	}
-	late := sm.ready
-	sm.workerSet[msg.Worker] = true
-	sm.workers = append(sm.workers, msg.Worker)
-	if late {
-		return
-	}
-	if len(sm.workers) >= sm.expectedWorkers {
-		sm.becomeReady()
-	}
-}
-
-// shrinkQuorum mirrors Master.shrinkQuorum for the frontend's own
-// fleet-formation bar.
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) shrinkQuorum() {
-	if sm.ready {
-		return
-	}
-	sm.expectedWorkers--
-	if len(sm.workers) >= sm.expectedWorkers {
-		sm.becomeReady()
-	}
-}
-
-// becomeReady settles fleet formation on the frontend; in batch mode it
-// also starts the arrival schedule (the parts never see Arrivals — the
-// router owns the stream and partitions each job as it fires).
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) becomeReady() {
-	sm.ready = true
-	if sm.readyAck != nil {
-		sm.readyAck.Send(struct{}{})
-	}
-	if sm.autoStop {
-		sm.started = true
-		sm.defStart = sm.clk.Now()
-		for _, arr := range sm.arrivals {
-			arr := arr
-			sm.afterFunc(arr.At, "arrival "+arr.Job.ID, func() { sm.Inject(MsgInject{Job: arr.Job}) })
-		}
-	}
+	sm.fleet.register(msg.Worker, func() { sm.fanOut(env) })
 }
 
 // onRequestJob fans an idle worker's pull out to every shard. Pulls
@@ -579,7 +453,7 @@ func (sm *ShardedMaster) becomeReady() {
 //
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) onRequestJob(env *broker.Envelope, msg MsgRequestJob) {
-	if !sm.workerSet[msg.Worker] {
+	if !sm.fleet.member(msg.Worker) {
 		return
 	}
 	sm.fanOut(env)
@@ -591,7 +465,7 @@ func (sm *ShardedMaster) onRequestJob(env *broker.Envelope, msg MsgRequestJob) {
 //
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) onCacheEvict(env *broker.Envelope, msg MsgCacheEvict) {
-	if !sm.workerSet[msg.Worker] {
+	if !sm.fleet.member(msg.Worker) {
 		return
 	}
 	byShard := make([][]string, len(sm.parts))
@@ -614,22 +488,13 @@ func (sm *ShardedMaster) onCacheEvict(env *broker.Envelope, msg MsgCacheEvict) {
 
 // onWorkerDead fans the death out (unconditionally — rescuing inflight
 // jobs must reach even a partitioned shard, exactly as a single master's
-// self-injected death cannot be lost) and updates the frontend's own
-// membership mirror.
+// self-injected death cannot be lost) and buries the worker in the
+// frontend's fleet view.
 //
 //xflow:goroutine router-loop
-func (sm *ShardedMaster) onWorkerDead(env *broker.Envelope, worker string) {
+func (sm *ShardedMaster) onWorkerDead(worker string) {
 	sm.fanOut(sm.control(sm.parts[0], MsgWorkerDead{Worker: worker}))
-	first := !sm.dead[worker]
-	sm.dead[worker] = true
-	if !sm.workerSet[worker] {
-		if first {
-			sm.shrinkQuorum()
-		}
-		return
-	}
-	sm.removeWorker(worker)
-	sm.shrinkQuorum()
+	sm.fleet.bury(worker)
 }
 
 // onLeave fans a worker's goodbye out to every part (each rescues the
@@ -638,61 +503,24 @@ func (sm *ShardedMaster) onWorkerDead(env *broker.Envelope, worker string) {
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) onLeave(env *broker.Envelope, worker string) {
 	sm.fanOut(env)
-	if sm.workerSet[worker] {
-		sm.dead[worker] = true
-		sm.removeWorker(worker)
-		sm.shrinkQuorum()
-	}
-	acks, ok := sm.drains[worker]
-	if !ok {
-		return
-	}
-	delete(sm.drains, worker)
-	for _, ack := range acks {
-		if ack != nil {
-			ack.Send(worker)
-		}
-	}
+	sm.fleet.depart(worker)
+	sm.fleet.ackLeave(worker)
 }
 
-// removeWorker splices worker out of the frontend's live set.
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) removeWorker(worker string) {
-	delete(sm.workerSet, worker)
-	for i, w := range sm.workers {
-		if w == worker {
-			sm.workers = append(sm.workers[:i], sm.workers[i+1:]...)
-			break
-		}
-	}
-}
-
-// onDrainStart mirrors Master.onDrainStart on the frontend — the
-// frontend keeps the caller's ack and forwards an ack-less drain to
-// every part; each part removes the worker from contention and tells it
-// to drain (the worker's drain entry is idempotent).
+// onDrainStart keeps the caller's ack on the frontend and forwards an
+// ack-less drain to every part; each part removes the worker from
+// contention and tells it to drain (the worker's drain entry is
+// idempotent).
 //
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) onDrainStart(msg msgDrainStart) {
-	if !sm.workerSet[msg.worker] {
-		if msg.ack != nil {
-			if _, pending := sm.drains[msg.worker]; pending {
-				sm.drains[msg.worker] = append(sm.drains[msg.worker], msg.ack)
-			} else {
-				msg.ack.Send(msg.worker)
-			}
-		}
-		return
+	if sm.fleet.startDrain(msg.worker, msg.ack) {
+		sm.fanOut(sm.control(sm.parts[0], msgDrainStart{worker: msg.worker}))
 	}
-	sm.removeWorker(msg.worker)
-	sm.shrinkQuorum()
-	sm.drains[msg.worker] = append(sm.drains[msg.worker], msg.ack)
-	sm.fanOut(sm.control(sm.parts[0], msgDrainStart{worker: msg.worker, ack: nil}))
 }
 
 // sessionByID resolves a session name to its frontend bookkeeping,
-// falling back to the default session like Master.sessionByID.
+// falling back to the default session.
 //
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) sessionByID(id string) *routerSession {
@@ -796,7 +624,7 @@ func (sm *ShardedMaster) maybeFinish() bool {
 	if !sm.autoStop {
 		return false
 	}
-	if !sm.started || sm.arrivalsLeft > 0 || sm.def.routed != sm.def.settled {
+	if !sm.fleet.ready || sm.arrivalsLeft > 0 || sm.def.routed != sm.def.settled {
 		return false
 	}
 	return sm.stop(false)
@@ -805,8 +633,9 @@ func (sm *ShardedMaster) maybeFinish() bool {
 // stop ends the frontend loop: it marks the plane finished, publishes
 // the single fleet-wide MsgStop, quiesces every part loop with a direct
 // shutdown (their own stop publish is muted), and flushes the
-// frontend's pending drain acks. Part shutdown also flushes every
-// subsession, which completes the session mergers.
+// frontend's pending drain acks (sessions are flushed by the parts
+// themselves as their shutdown lands, which completes the session
+// mergers).
 //
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) stop(abort bool) bool {
@@ -826,45 +655,8 @@ func (sm *ShardedMaster) stop(abort bool) bool {
 	for _, p := range sm.parts {
 		sm.forward(p, sm.control(p, payload))
 	}
-	sm.flushWaiters()
+	sm.fleet.flushDrains()
 	return true
-}
-
-// flushWaiters settles the frontend's pending drain acks (sessions are
-// flushed by the parts themselves as their shutdown lands).
-//
-//xflow:goroutine router-loop
-func (sm *ShardedMaster) flushWaiters() {
-	if len(sm.drains) == 0 {
-		return
-	}
-	names := make([]string, 0, len(sm.drains))
-	for w := range sm.drains {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-	for _, w := range names {
-		for _, ack := range sm.drains[w] {
-			if ack != nil {
-				ack.Send(w)
-			}
-		}
-		delete(sm.drains, w)
-	}
-}
-
-// afterFunc schedules f on the frontend's clock, labeled with the
-// master's conflict domain when a model-checking chooser is active —
-// the frontend's self-timers only ever Inject back into its own loop,
-// and the whole control plane (router plus parts, which only ever
-// receive through the router or their own self-timers) forms one
-// conflict domain under MasterName.
-func (sm *ShardedMaster) afterFunc(d time.Duration, detail string, f func()) {
-	if sm.labeled != nil {
-		sm.labeled.AfterFuncLabeled(d, vclock.EventLabel{Node: MasterName, Detail: detail}, f)
-		return
-	}
-	sm.clk.AfterFunc(d, f)
 }
 
 // StateDigest renders the frontend's routing state plus every part's
@@ -873,14 +665,10 @@ func (sm *ShardedMaster) afterFunc(d time.Duration, detail string, f func()) {
 //xflow:goroutine router-loop
 func (sm *ShardedMaster) StateDigest() string {
 	var b strings.Builder
-	deads := make([]string, 0, len(sm.dead))
-	for w := range sm.dead {
-		deads = append(deads, w)
-	}
-	sort.Strings(deads)
+	f := sm.fleet
 	fmt.Fprintf(&b, "router ready=%t finished=%t aborted=%t next=%d exp=%d shards=%d workers=%s dead=%s\n",
-		sm.ready, sm.finished, sm.aborted, sm.nextID, sm.expectedWorkers,
-		len(sm.parts), strings.Join(sm.workers, ","), strings.Join(deads, ","))
+		f.ready, sm.finished, sm.aborted, sm.nextID, f.expected,
+		len(sm.parts), strings.Join(f.workers, ","), strings.Join(sortedKeys(f.dead), ","))
 	fmt.Fprintf(&b, "rsess def routed=%d settled=%d\n", sm.def.routed, sm.def.settled)
 	for _, rs := range sm.sessionList {
 		fmt.Fprintf(&b, "rsess %q routed=%d settled=%d closed=%t/%t\n",

@@ -145,9 +145,13 @@ func TestShardedClusterSessions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	c.Start()
 	var repA, repB *engine.Report
+	// This tracked goroutine starts the cluster itself: started from
+	// the untracked test goroutine, the fleet could register and park
+	// before it existed, which the simulated clock reports as a
+	// deadlock.
 	clk.Go(func() {
+		c.Start()
 		c.WaitReady()
 		for i := 0; i < 8; i++ {
 			sessA.Submit(&engine.Job{Stream: "work", DataKey: fmt.Sprintf("a%d", i), DataSizeMB: 10})
